@@ -197,6 +197,31 @@ def build_queries() -> list[str]:
         "SELECT segment, COUNT(*) FROM customers WHERE score > "
         "(SELECT AVG(score) FROM customers) GROUP BY segment ORDER BY 2 DESC"
     )
+    # IN membership: uncorrelated IN / NOT IN subqueries (hash-probed cached
+    # results; orders.region_id holds NULL members) and literal IN lists
+    for zone in ZONES:
+        queries.append(
+            "SELECT o.id, c.name FROM orders o JOIN customers c ON o.customer_id = c.id "
+            f"WHERE o.region_id IN (SELECT id FROM regions WHERE zone = '{zone}') "
+            "ORDER BY o.id LIMIT 40"
+        )
+    for threshold in (1000, 4000):
+        queries.append(
+            "SELECT COUNT(*) FROM customers WHERE region_id NOT IN "
+            f"(SELECT region_id FROM orders WHERE amount > {threshold})"
+        )
+    queries.append(
+        "SELECT status, COUNT(*) FROM orders WHERE customer_id NOT IN "
+        "(SELECT * FROM customers WHERE segment = 'smb') GROUP BY status ORDER BY 1"
+    )
+    queries.append(
+        "SELECT id FROM orders WHERE quantity IN (1, 3, 5, 7, 11) "
+        "AND region_id IN (2, '4', 8.0, 16, NULL) ORDER BY id"
+    )
+    queries.append(
+        "SELECT COUNT(*) FROM customers WHERE segment NOT IN ('smb', 'public') "
+        "AND region_id IN (1, 2, 3, 5, 8, 13, 21, 34)"
+    )
     # set operations and DISTINCT
     queries.append(
         "SELECT DISTINCT status FROM orders UNION SELECT DISTINCT segment FROM customers ORDER BY 1"

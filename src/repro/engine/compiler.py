@@ -8,17 +8,19 @@ into a plain Python closure ``row -> value``:
 * column references are resolved to tuple indices at compile time,
 * operator dispatch happens at compile time (each node becomes one closure),
 * LIKE patterns with literal patterns become precompiled regexes,
-* IN-lists of literals are materialised once.
+* IN-lists of literals become a hash membership index built once, and
+  ``IN (subquery)`` probes one built once per cached subquery result
+  (:class:`~repro.engine.runtime.MembershipIndex`).
 
 Compilation is best-effort: :func:`compile_row_expression` returns ``None``
 for anything it cannot handle — outer column references, aggregates in row
 position, bind parameters — and the executor falls back to the interpreter
 *for that expression only*.  Subqueries (IN/EXISTS/scalar) compile when the
 caller supplies a ``subqueries`` handler: the handler maps a subquery node to
-a ``row -> QueryResult`` runner (the executor binds its cached-subquery
-machinery there, so correlated subqueries execute through the compiled path
-too).  Without a handler they fall back to the interpreter as before.  Every
-compiled closure mirrors the corresponding interpreter branch exactly
+a ``row -> QueryResult`` runner, or for ``IN`` to a membership test (the
+executor binds its cached-subquery machinery there, so correlated subqueries
+execute through the compiled path too).  Without a handler they fall back to
+the interpreter as before.  Every compiled closure mirrors the corresponding interpreter branch exactly
 (including NULL propagation quirks), so the two paths produce bit-identical
 results; ``tests/test_engine_parity.py`` enforces this.
 
@@ -32,15 +34,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Protocol
 
 from repro.engine.functions import SCALAR_FUNCTIONS, call_aggregate
 from repro.engine.runtime import (
+    MembershipIndex,
     apply_binary,
     apply_unary,
     is_true,
     like_match,
     like_regex,
+    member_scan,
     numeric_binary,
 )
 from repro.engine.storage import Relation
@@ -70,10 +74,22 @@ from repro.sql.ast_nodes import (
 RowFn = Callable[[tuple], SQLValue]
 #: Group-mode compiled expression: maps (group rows, representative row) to a value.
 GroupFn = Callable[[list, tuple], SQLValue]
-#: Subquery handler: maps a subquery Select node to a ``row -> QueryResult``
-#: runner.  Supplied by the executor, which binds its own row context and
-#: cached-subquery machinery into the runner.
-SubqueryHandler = Callable[[object], Callable[[tuple], object]]
+
+
+class SubqueryHandler(Protocol):
+    """Subquery runners, supplied by the executor.
+
+    The executor binds its own row context and cached-subquery machinery into
+    the runners it returns for a subquery ``Select`` node.
+    """
+
+    def result(self, subquery: object) -> Callable[[tuple], object]:
+        """A ``row -> QueryResult`` runner."""
+
+    def membership(self, subquery: object) -> Callable[[tuple, SQLValue], bool]:
+        """A ``(row, value) -> bool`` test of ``value`` (never NULL) against
+        the subquery's first column, with :func:`member_scan` semantics."""
+
 
 #: Aggregate function names (kept in sync with the executor's dispatch set).
 AGGREGATE_NAMES = frozenset(
@@ -234,25 +250,20 @@ def _row(
 
     if isinstance(expression, InSubquery) and subqueries is not None:
         operand = _row(expression.operand, relation, subqueries)
-        run = subqueries(expression.subquery)
+        contains = subqueries.membership(expression.subquery)
         negated = expression.negated
 
         def in_subquery_fn(row: tuple) -> SQLValue:
             value = operand(row)
             if value is None:
                 return None
-            result = run(row)
-            contained = any(
-                inner_row and inner_row[0] is not None
-                and compare_values(value, inner_row[0]) == 0
-                for inner_row in result.rows
-            )
+            contained = contains(row, value)
             return not contained if negated else contained
 
         return in_subquery_fn
 
     if isinstance(expression, Exists) and subqueries is not None:
-        run = subqueries(expression.subquery)
+        run = subqueries.result(expression.subquery)
         negated = expression.negated
 
         def exists_fn(row: tuple) -> SQLValue:
@@ -262,7 +273,7 @@ def _row(
         return exists_fn
 
     if isinstance(expression, ScalarSubquery) and subqueries is not None:
-        run = subqueries(expression.query)
+        run = subqueries.result(expression.query)
 
         def scalar_subquery_fn(row: tuple) -> SQLValue:
             result = run(row)
@@ -423,16 +434,13 @@ def _row_in_list(
     operand = _row(expression.operand, relation, subqueries)
     negated = expression.negated
     if all(isinstance(member, Literal) for member in expression.values):
-        members = tuple(member.value for member in expression.values)
+        index = MembershipIndex(member.value for member in expression.values)
 
         def static_in_fn(row: tuple) -> SQLValue:
             value = operand(row)
             if value is None:
                 return None
-            contained = any(
-                member is not None and compare_values(value, member) == 0
-                for member in members
-            )
+            contained = value in index
             return not contained if negated else contained
 
         return static_in_fn
@@ -443,10 +451,7 @@ def _row_in_list(
         value = operand(row)
         if value is None:
             return None
-        contained = any(
-            member is not None and compare_values(value, member) == 0
-            for member in (member_fn(row) for member_fn in member_fns)
-        )
+        contained = member_scan(value, (member_fn(row) for member_fn in member_fns))
         return not contained if negated else contained
 
     return dynamic_in_fn

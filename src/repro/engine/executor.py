@@ -50,6 +50,7 @@ from repro.engine.compiler import (
 )
 from repro.engine.functions import call_aggregate, call_scalar, is_scalar_function
 from repro.engine.runtime import (
+    MembershipIndex,
     apply_binary as _apply_binary,
     apply_cast as _apply_cast,
     apply_unary as _apply_unary,
@@ -57,6 +58,7 @@ from repro.engine.runtime import (
     hashable_key as _hashable,
     is_true as _is_true,
     like_match as _like_match,
+    member_scan as _member_scan,
     null_aware_compare as _null_aware_compare,
     row_key as _row_key,
 )
@@ -119,12 +121,27 @@ class _AnalyzeCollector:
     list can be rendered as a tree.
     """
 
-    __slots__ = ("operators", "depth", "truncated")
+    __slots__ = (
+        "operators",
+        "depth",
+        "truncated",
+        "subquery_cache_hits",
+        "membership_index_builds",
+        "membership_probes",
+        "membership_scans",
+    )
 
     def __init__(self) -> None:
         self.operators: list[dict] = []
         self.depth = 0
         self.truncated = False
+        # Subquery work: cached-result reuses, and compiled IN-subquery
+        # membership tests (hash-index builds and probes on cached results,
+        # linear scans of correlated per-row results).
+        self.subquery_cache_hits = 0
+        self.membership_index_builds = 0
+        self.membership_probes = 0
+        self.membership_scans = 0
 
     def enter(self) -> None:
         self.depth += 1
@@ -148,6 +165,59 @@ class _AnalyzeCollector:
         if detail:
             entry.update(detail)
         self.operators.append(entry)
+
+
+class _CachedSubquery:
+    """One uncorrelated subquery result, reused until the data version moves.
+
+    ``node`` pins the AST node so its id cannot be recycled while the entry
+    lives.  ``membership`` is the result's first-column
+    :class:`~repro.engine.runtime.MembershipIndex`, built by the first
+    compiled ``IN`` probe and dropped with the entry.
+    """
+
+    __slots__ = ("node", "version", "result", "membership")
+
+    def __init__(self, node: Select, version: int, result: "QueryResult") -> None:
+        self.node = node
+        self.version = version
+        self.result = result
+        self.membership: MembershipIndex | None = None
+
+
+class _SubqueryRunners:
+    """The executor's :class:`~repro.engine.compiler.SubqueryHandler`.
+
+    Its runners bind the evaluating row as the subquery's outer context, so
+    correlated subqueries execute through compiled closures too (sharing the
+    uncorrelated-result cache with the interpreter).
+    """
+
+    __slots__ = ("_executor", "_relation")
+
+    def __init__(self, executor: "Executor", relation: Relation) -> None:
+        self._executor = executor
+        self._relation = relation
+
+    def result(self, subquery: Select):
+        executor, relation = self._executor, self._relation
+
+        def run(row: tuple) -> QueryResult:
+            return executor._execute_subquery_cached(
+                subquery, RowContext(relation=relation, row=row)
+            )
+
+        return run
+
+    def membership(self, subquery: Select):
+        executor, relation = self._executor, self._relation
+
+        def contains(row: tuple, value: SQLValue) -> bool:
+            return executor._subquery_contains(
+                subquery, RowContext(relation=relation, row=row), value
+            )
+
+        return contains
 
 
 @dataclass
@@ -204,11 +274,10 @@ class Executor:
             raise ValueError(f"unknown executor mode {mode!r}; expected one of {EXECUTOR_MODES}")
         self._database = database
         self.mode = mode
-        # Cache of uncorrelated subquery results, keyed by AST node id.  The
-        # node itself is kept in the value so its id cannot be reused while the
-        # cache entry is alive; each entry is tagged with the database's data
-        # version so DML invalidates it lazily without a full clear.
-        self._subquery_cache: dict[int, tuple[Select, int, QueryResult]] = {}
+        # Cache of uncorrelated subquery results, keyed by AST node id.  Each
+        # entry is tagged with the database's data version so DML invalidates
+        # it (and its membership index) lazily without a full clear.
+        self._subquery_cache: dict[int, _CachedSubquery] = {}
         # Subqueries known to be correlated (their context-free execution
         # failed once); they skip the doomed context-free attempt afterwards.
         self._subquery_kind: dict[int, tuple[Select, bool]] = {}
@@ -264,8 +333,10 @@ class Executor:
         version = self._database.data_version
         key = id(subquery)
         cached = self._subquery_cache.get(key)
-        if cached is not None and cached[0] is subquery and cached[1] == version:
-            return cached[2]
+        if cached is not None and cached.node is subquery and cached.version == version:
+            if self._analyze is not None:
+                self._analyze.subquery_cache_hits += 1
+            return cached.result
         kind = self._subquery_kind.get(key)
         known_correlated = kind is not None and kind[0] is subquery and kind[1]
         if not known_correlated:
@@ -278,9 +349,34 @@ class Executor:
             else:
                 if len(self._subquery_cache) >= _SUBQUERY_CACHE_LIMIT:
                     self._subquery_cache.clear()
-                self._subquery_cache[key] = (subquery, version, result)
+                self._subquery_cache[key] = _CachedSubquery(subquery, version, result)
                 return result
         return self.execute_select(subquery, context)
+
+    def _subquery_contains(self, subquery: Select, context: RowContext, value: SQLValue) -> bool:
+        """Compiled ``value IN (subquery)`` for a non-NULL ``value``.
+
+        A cached (uncorrelated) result is probed through a membership index
+        built at most once per cache entry; a correlated result is fresh for
+        every outer row, so it is scanned once instead of indexed.  Either
+        way the answer equals the interpreter's ``compare_values`` scan over
+        the first column.
+        """
+        result = self._execute_subquery_cached(subquery, context)
+        collector = self._analyze
+        entry = self._subquery_cache.get(id(subquery))
+        if entry is None or entry.result is not result:
+            if collector is not None:
+                collector.membership_scans += 1
+            return _member_scan(value, (row[0] for row in result.rows if row))
+        index = entry.membership
+        if index is None:
+            index = entry.membership = MembershipIndex(row[0] for row in result.rows if row)
+            if collector is not None:
+                collector.membership_index_builds += 1
+        if collector is not None:
+            collector.membership_probes += 1
+        return value in index
 
     # ------------------------------------------------------------------
     # compiled-plan helpers
@@ -309,25 +405,13 @@ class Executor:
         self._plan_cache[key] = (anchor, value)
         return value
 
-    def _subquery_handler(self, relation: Relation):
-        """Compiler hook: maps a subquery node to a ``row -> QueryResult`` runner.
+    def _subquery_handler(self, relation: Relation) -> _SubqueryRunners:
+        """Compiler hook binding subquery runners to rows of ``relation``.
 
-        The runner binds the evaluating row as the subquery's outer context, so
-        correlated subqueries execute through compiled closures too (sharing
-        the uncorrelated-result cache with the interpreter).  Only used for
-        top-level expressions (``outer is None``): a deeper context chain needs
-        the interpreter's parent links.
+        Only used for top-level expressions (``outer is None``): a deeper
+        context chain needs the interpreter's parent links.
         """
-
-        def handler(subquery: Select):
-            def run(row: tuple) -> QueryResult:
-                return self._execute_subquery_cached(
-                    subquery, RowContext(relation=relation, row=row)
-                )
-
-            return run
-
-        return handler
+        return _SubqueryRunners(self, relation)
 
     def _row_evaluator(self, expression: Expression, relation: Relation, outer: RowContext | None):
         """Best closure for evaluating ``expression`` once per row.
@@ -451,10 +535,12 @@ class Executor:
         """Execute a SELECT with per-operator instrumentation (EXPLAIN ANALYZE).
 
         Returns the executed operator list (wall time, rows in/out, nesting
-        depth), total wall time, rows/columns returned, and the per-query
-        deltas of the compiled-plan, expression-compile and source-planner
-        counters.  The execution is observed, never perturbed: the collector
-        only reads stage boundaries, so the produced rows are bit-identical
+        depth), total wall time, rows/columns returned, the per-query deltas
+        of the compiled-plan, expression-compile and source-planner counters,
+        and the subquery work: cached-result hits plus the compiled ``IN``
+        membership index builds, index probes and correlated-result scans.
+        The execution is observed, never perturbed: the collector only reads
+        stage boundaries and counts, so the produced rows are bit-identical
         to a plain ``execute_select`` in every executor mode.
         """
         if self._analyze is not None:
@@ -496,6 +582,12 @@ class Executor:
             "source_planner": {
                 "plans_built": plans_built - plans_built_before,
                 "cache_hits": planner_hits - planner_hits_before,
+            },
+            "subqueries": {
+                "cache_hits": collector.subquery_cache_hits,
+                "membership_index_builds": collector.membership_index_builds,
+                "membership_probes": collector.membership_probes,
+                "membership_scans": collector.membership_scans,
             },
         }
 

@@ -11,6 +11,7 @@ their results stay bit-identical by construction.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from repro.errors import ExecutionError
 from repro.engine.types import SQLValue, compare_values, is_numeric
@@ -132,6 +133,70 @@ def hashable_key(value: SQLValue) -> object:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
+
+
+def member_scan(value: SQLValue, members: Iterable[SQLValue]) -> bool:
+    """``IN`` membership by linear scan: the definition :class:`MembershipIndex` hashes."""
+    return any(member is not None and compare_values(value, member) == 0 for member in members)
+
+
+class MembershipIndex:
+    """Hash index answering ``IN`` membership exactly as :func:`member_scan`.
+
+    ``value in index`` equals ``member_scan(value, members)`` for every value,
+    at one or two set probes instead of one ``compare_values`` per member:
+
+    * a number against a number compares numerically, so numeric members sit
+      in one set probed with the number itself (Python's int/float equality
+      and hashing agree: ``1 == 1.0`` and ``hash(1) == hash(1.0)``);
+    * every other pairing compares ``str()`` forms, so non-numeric members are
+      keyed by ``str(member)`` and a non-numeric probe also looks among the
+      ``str()`` forms of the numeric members (``1`` matches ``'1'``, ``1.0``
+      does not match ``'1'``, ``True`` does not match ``1``);
+    * NULL members are skipped and a NULL probe matches nothing;
+    * NaN compares equal to every number, which no hash can express: a
+      numeric probe scans when it is NaN or a member is.
+    """
+
+    __slots__ = ("_members", "_numbers", "_texts", "_number_texts", "_has_nan")
+
+    def __init__(self, members: Iterable[SQLValue]) -> None:
+        self._members = [member for member in members if member is not None]
+        numbers: set = set()
+        texts: set[str] = set()
+        for member in self._members:
+            if is_numeric(member):
+                numbers.add(member)
+            else:
+                texts.add(str(member))
+        self._numbers = numbers
+        self._texts = texts
+        # str() forms of the numeric members, built on the first non-numeric
+        # probe.  Taken from the member list, not the set: 1 and 1.0 share a
+        # set slot but print differently.
+        self._number_texts: set[str] | None = None
+        self._has_nan = any(member != member for member in numbers)
+
+    def __contains__(self, value: SQLValue) -> bool:
+        if value is None:
+            return False
+        if is_numeric(value):
+            if self._has_nan or value != value:
+                return member_scan(value, self._members)
+            if value in self._numbers:
+                return True
+            return bool(self._texts) and str(value) in self._texts
+        text = str(value)
+        if text in self._texts:
+            return True
+        if not self._numbers:
+            return False
+        number_texts = self._number_texts
+        if number_texts is None:
+            number_texts = self._number_texts = {
+                str(member) for member in self._members if is_numeric(member)
+            }
+        return text in number_texts
 
 
 def row_key(row: tuple[SQLValue, ...]) -> tuple:

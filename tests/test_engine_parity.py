@@ -308,3 +308,175 @@ def test_using_join_missing_column_raises_execution_error(hr_database):
         hr_database.execute(
             "SELECT * FROM employees JOIN departments USING (budget)"
         )
+
+
+# ---------------------------------------------------------------------------
+# IN membership: compiled hash probes against the interpreter's scan
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def membership_database() -> Database:
+    """Typed columns whose values collide across types under compare_values."""
+    database = Database("membership")
+    database.create_table(
+        "nums", [("id", "INT"), ("i", "INT"), ("r", "REAL"), ("flag", "BOOLEAN"), ("grp", "TEXT")]
+    )
+    database.create_table("texts", [("t", "TEXT"), ("grp", "TEXT")])
+    database.create_table("reals", [("r", "REAL"), ("note", "TEXT")])
+    database.table("nums").insert_rows(
+        [
+            (1, 1, 1.0, True, "a"),
+            (2, 2, 2.5, False, "a"),
+            (3, 3, 3.0, True, "b"),
+            (4, None, None, None, "b"),
+            (5, 0, -0.0, False, None),
+            (6, 10, 10.0, True, "c"),
+        ]
+    )
+    database.table("texts").insert_rows(
+        [("1", "a"), ("2.5", "a"), ("3.0", "b"), ("True", "b"), (None, "c"), ("x", None), ("0", "c")]
+    )
+    database.table("reals").insert_rows(
+        [(1.0, "one"), (2.5, "frac"), (None, "null"), (float("nan"), "nan")]
+    )
+    return database
+
+
+MEMBERSHIP_QUERIES = [
+    # int vs string, string members with a NULL
+    "SELECT id, i IN (SELECT t FROM texts) FROM nums ORDER BY id",
+    "SELECT id, i NOT IN (SELECT t FROM texts) FROM nums ORDER BY id",
+    "SELECT id FROM nums WHERE i NOT IN (SELECT t FROM texts WHERE t IS NOT NULL) ORDER BY id",
+    # float vs string: 3.0 matches '3.0', 1.0 does not match '1'
+    "SELECT id, r IN (SELECT t FROM texts), r NOT IN (SELECT t FROM texts) FROM nums ORDER BY id",
+    # int vs float, both directions
+    "SELECT id, i IN (SELECT r FROM reals WHERE note <> 'nan') FROM nums ORDER BY id",
+    "SELECT r, r IN (SELECT i FROM nums), r NOT IN (SELECT i FROM nums) FROM reals "
+    "WHERE note <> 'nan' ORDER BY note",
+    # bool vs string ('True') and bool vs int (never equal)
+    "SELECT id, flag IN (SELECT t FROM texts), flag IN (SELECT i FROM nums) FROM nums ORDER BY id",
+    "SELECT id, i IN (SELECT flag FROM nums) FROM nums ORDER BY id",
+    # NULL probe gives NULL (and filters out) for IN and NOT IN
+    "SELECT id FROM nums WHERE i IN (SELECT i FROM nums) ORDER BY id",
+    "SELECT id FROM nums WHERE i NOT IN (SELECT i FROM nums WHERE id > 3) ORDER BY id",
+    "SELECT id, r IN (SELECT r FROM reals WHERE note <> 'nan') FROM nums ORDER BY id",
+    # NaN member matches every number; NaN probe likewise
+    "SELECT id, i IN (SELECT r FROM reals), r NOT IN (SELECT r FROM reals) FROM nums ORDER BY id",
+    "SELECT id, CAST('nan' AS FLOAT) IN (SELECT i FROM nums WHERE id = 2) FROM nums ORDER BY id",
+    "SELECT note, r IN (SELECT t FROM texts) FROM reals ORDER BY note",
+    # correlated IN subquery (per-row result, scanned)
+    "SELECT n.id FROM nums n WHERE n.i IN (SELECT m.i FROM nums m WHERE m.grp = n.grp AND m.id <> n.id) ORDER BY n.id",
+    "SELECT n.id, CAST(n.i AS TEXT) IN (SELECT t.t FROM texts t WHERE t.grp = n.grp) FROM nums n ORDER BY n.id",
+    # multi-column subquery: the first column is matched
+    "SELECT id FROM nums WHERE i IN (SELECT * FROM nums WHERE flag = TRUE) ORDER BY id",
+    "SELECT id FROM nums WHERE id NOT IN (SELECT * FROM nums WHERE flag = TRUE) ORDER BY id",
+    # IN inside aggregation, HAVING and CASE
+    "SELECT grp, COUNT(*) FROM nums WHERE i IN (SELECT t FROM texts) GROUP BY grp ORDER BY grp",
+    "SELECT grp, SUM(i) FROM nums GROUP BY grp HAVING grp IN (SELECT grp FROM texts) ORDER BY grp",
+    "SELECT id, CASE WHEN i IN (SELECT i FROM nums WHERE flag = FALSE) THEN 'f' ELSE 'other' END "
+    "FROM nums ORDER BY id",
+    # literal IN lists (indexed at compile time), mixed types and NULL members
+    "SELECT id, i IN (1, '2', 3.0, NULL), i NOT IN (1, '2', 3.0, NULL) FROM nums ORDER BY id",
+    "SELECT id, r IN ('1.0', 2.5, 'x'), flag IN ('True', 0) FROM nums ORDER BY id",
+    "SELECT id, r IN (CAST('nan' AS FLOAT), 'x'), 'nan' IN (CAST('nan' AS FLOAT)) FROM nums ORDER BY id",
+]
+
+
+@pytest.mark.parametrize("sql", MEMBERSHIP_QUERIES)
+def test_in_membership_parity(membership_database, sql):
+    assert_parity(membership_database, sql)
+
+
+def test_in_membership_reference_values(membership_database):
+    """Spot-check the documented IN semantics, identical in every mode."""
+    database = membership_database
+    for mode in PARITY_MODES:
+        database.executor_mode = mode
+        # 1 = '1', 0 = '0'; NULL probe -> NULL; 2/3/10 have no string twin.
+        assert database.query("SELECT id, i IN (SELECT t FROM texts) FROM nums ORDER BY id") == [
+            (1, True), (2, False), (3, False), (4, None), (5, True), (6, False)
+        ]
+        # NOT IN is TRUE despite the NULL member.
+        assert database.query(
+            "SELECT id FROM nums WHERE i NOT IN (SELECT t FROM texts) ORDER BY id"
+        ) == [(2,), (3,), (6,)]
+        # A NaN member equals every number.
+        assert database.query(
+            "SELECT COUNT(*) FROM nums WHERE i IN (SELECT r FROM reals)"
+        ) == [(5,)]
+
+
+def _bird_like_database(rows: int = 240) -> Database:
+    """Three-way join whose post-filter is ``key IN (SELECT * FROM t ...)``."""
+    database = Database("bird-like")
+    database.create_table("movie", [("movie_key", "INT"), ("player_key", "INT")])
+    database.create_table("school", [("school_key", "INT"), ("movie_key", "INT")])
+    database.create_table(
+        "client",
+        [("client_key", "INT"), ("school_key", "INT"), ("rate", "REAL"), ("card_key", "INT")],
+    )
+    database.create_table("card", [("card_key", "INT"), ("movie_key", "INT"), ("rank", "BOOLEAN")])
+    database.table("movie").insert_rows([(m, m * 7 % 50) for m in range(rows // 4)])
+    database.table("school").insert_rows([(s, s % (rows // 4)) for s in range(rows // 2)])
+    database.table("client").insert_rows(
+        [(c, c % (rows // 2), float(c * 37 % 1000), c % 90 if c % 11 else None) for c in range(rows)]
+    )
+    database.table("card").insert_rows([(k, k % (rows // 4), k % 3 == 0) for k in range(90)])
+    return database
+
+
+BIRD_LIKE_SQL = (
+    "SELECT player_key FROM movie JOIN school ON school.movie_key = movie.movie_key "
+    "JOIN client ON client.school_key = school.school_key "
+    "WHERE (rate > 200) AND card_key IN (SELECT * FROM card WHERE rank = TRUE)"
+)
+
+
+def test_bird_like_in_subquery_parity():
+    database = _bird_like_database()
+    assert_parity(database, BIRD_LIKE_SQL)
+    assert_parity(database, BIRD_LIKE_SQL.replace(" IN (", " NOT IN ("))
+    assert_parity(database, BIRD_LIKE_SQL + " ORDER BY 1 LIMIT 5")
+
+
+@pytest.mark.parametrize("mode", ["compiled", "planned"])
+def test_bird_like_explain_analyze_counts_membership_work(mode):
+    """One index build per cached subquery result, one probe per row."""
+    database = _bird_like_database()
+    database.executor_mode = mode
+    cold = database.explain(BIRD_LIKE_SQL, analyze=True)["analyze"]
+    filtered = next(
+        op for op in cold["operators"]
+        if op["depth"] == 0 and op["op"] in ("filter", "planned_source")
+    )
+    work = cold["subqueries"]
+    assert work["membership_index_builds"] == 1
+    assert work["membership_scans"] == 0
+    # Every joined row with rate > 200 and a non-NULL key probes the index;
+    # the first probe executes the subquery, later ones hit its cached result.
+    probes = work["membership_probes"]
+    assert 0 < probes <= filtered["rows_in"]
+    assert work["cache_hits"] == probes - 1
+    # Warm: the cached result keeps its index.
+    warm = database.explain(BIRD_LIKE_SQL, analyze=True)["analyze"]["subqueries"]
+    assert warm["membership_index_builds"] == 0
+    assert warm["membership_probes"] == warm["cache_hits"] == probes
+    # DML moves the data version: the result and its index are rebuilt once.
+    database.execute("INSERT INTO card (card_key, movie_key, rank) VALUES (1000, 1, TRUE)")
+    rebuilt = database.explain(BIRD_LIKE_SQL, analyze=True)["analyze"]["subqueries"]
+    assert rebuilt["membership_index_builds"] == 1
+    assert rebuilt["membership_probes"] == probes
+
+
+def test_explain_analyze_counts_correlated_membership_scans(membership_database):
+    membership_database.executor_mode = "compiled"
+    analyze = membership_database.explain(
+        "SELECT n.id FROM nums n WHERE n.i IN "
+        "(SELECT m.i FROM nums m WHERE m.grp = n.grp AND m.id <> n.id)",
+        analyze=True,
+    )["analyze"]
+    work = analyze["subqueries"]
+    # Five rows have a non-NULL probe; each runs its own per-row result.
+    assert work["membership_scans"] == 5
+    assert work["membership_index_builds"] == work["membership_probes"] == 0

@@ -1,8 +1,9 @@
 """Property-based tests for the execution engine (hypothesis)."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.engine import Database
+from repro.engine import Database, compare_values
+from repro.engine.runtime import MembershipIndex
 
 
 def _make_db(values):
@@ -95,3 +96,92 @@ class TestOrderingAndLimitProperties:
         database = _make_db(values)
         total = database.query("SELECT val FROM t UNION ALL SELECT val FROM t")
         assert len(total) == 2 * len(values)
+
+
+# ---------------------------------------------------------------------------
+# IN membership: the hash index against the compare_values scan
+# ---------------------------------------------------------------------------
+
+#: Mixed SQL values: ints, integral and fractional floats (with -0.0, inf and
+#: NaN), numeric and non-numeric strings, bools and NULL.  Small ranges make
+#: collisions such as 1 / 1.0 / '1' / '1.0' / True frequent.
+membership_values = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-2, max_value=2).map(float),
+    st.sampled_from([0.5, -1.5, 2.25, -0.0, float("inf"), float("-inf"), float("nan")]),
+    st.integers(min_value=-2, max_value=2).map(str),
+    st.sampled_from(["1.0", "-0.0", "0.5", "nan", "inf", "True", "False", "a", ""]),
+    st.booleans(),
+    st.none(),
+)
+
+
+def _sql_in(value, negated, contains) -> object:
+    """SQL ``value [NOT] IN (...)`` with the engine's NULL rules."""
+    if value is None:
+        return None
+    contained = contains(value)
+    return not contained if negated else contained
+
+
+class TestMembershipIndexProperties:
+    @given(
+        members=st.lists(membership_values, max_size=12),
+        probes=st.lists(membership_values, min_size=1, max_size=8),
+    )
+    # Equal numbers with different str() forms share one set slot.
+    @example(members=[1, 1.0], probes=["1.0", "1"])
+    @example(members=[0, -0.0], probes=["-0.0", 0.0])
+    @example(members=[float("nan"), "x"], probes=[7, "nan", "x"])
+    @settings(max_examples=400, deadline=None)
+    def test_index_agrees_with_compare_values_scan(self, members, probes):
+        index = MembershipIndex(members)
+
+        def scan(value):
+            return any(
+                member is not None and compare_values(value, member) == 0
+                for member in members
+            )
+
+        # Probing every member too covers the exact-hit paths.
+        for value in probes + members:
+            for negated in (False, True):
+                assert _sql_in(value, negated, index.__contains__) == _sql_in(
+                    value, negated, scan
+                ), (value, members, negated)
+
+    @given(
+        members=st.lists(membership_values, min_size=1, max_size=8),
+        value=membership_values,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_literal_in_list_matches_interpreter(self, members, value):
+        """Compiled literal lists (indexed at compile time) equal the
+        interpreter's scan for IN and NOT IN, NaN members included."""
+        database = Database()
+        database.execute("CREATE TABLE one (id INT)")
+        database.execute("INSERT INTO one (id) VALUES (1)")
+        member_sql = ", ".join(_sql_literal(member) for member in members)
+        probe_sql = _sql_literal(value)
+        sql = (
+            f"SELECT {probe_sql} IN ({member_sql}), {probe_sql} NOT IN ({member_sql}) "
+            "FROM one"
+        )
+        outcomes = {}
+        for mode in ("interpreted", "compiled"):
+            database.executor_mode = mode
+            outcomes[mode] = database.query(sql)
+        assert outcomes["compiled"] == outcomes["interpreted"], sql
+
+
+def _sql_literal(value) -> str:
+    """SQL text evaluating to ``value`` (NaN and infinities through CAST)."""
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
+        return f"CAST('{value}' AS FLOAT)"
+    return repr(value)
